@@ -20,7 +20,7 @@ def test_fig1_layout_maps(benchmark):
     # Fig. 1a: images of (B0,B1,B2) clustered on Disk 3, next group on D2.
     assert raidx.mirror_group_of(0).image_disk == 3
     assert raidx.mirror_group_of(3).image_disk == 2
-    assert raidx.mirror_group_of(0).blocks == (0, 1, 2)
+    assert raidx.mirror_group_members(0) == (0, 1, 2)
     # Images of a 4-block stripe land on exactly two disks.
     assert len(raidx.stripe_image_disks(0)) == 2
 

@@ -64,7 +64,8 @@ def recover(run, process: int, kind: str = "transient") -> RecoveryResult:
         extents = {}
         for b in blocks:
             mg = layout.mirror_group_of(b)
-            pos = mg.blocks.index(b)
+            image = layout.redundancy_locations(b)[0]
+            pos = (image.offset - mg.image_offset) // bs
             key = (mg.image_disk, mg.image_offset)
             lo, hi = extents.get(key, (pos, pos + 1))
             extents[key] = (min(lo, pos), max(hi, pos + 1))

@@ -33,12 +33,6 @@ class ChainedDeclusteringLayout(Layout):
         """Byte offset where the mirror region starts on every disk."""
         return self.data_rows * self.block_size
 
-    def data_location(self, block: int) -> Placement:
-        self.check_block(block)
-        disk = block % self.n_disks
-        row = block // self.n_disks
-        return Placement(disk, row * self.block_size)
-
     def redundancy_locations(self, block: int) -> List[Placement]:
         self.check_block(block)
         disk = (block + 1) % self.n_disks

@@ -73,9 +73,6 @@ class Layout:
             raise ConfigurationError(
                 "n_disks must be a multiple of the stripe width"
             )
-        #: Lazily built data-placement rotation table (see
-        #: :meth:`_build_data_table`).
-        self._data_table: "Tuple[int, int, tuple] | None" = None
 
     # -- capacity ----------------------------------------------------------
     @property
@@ -103,48 +100,13 @@ class Layout:
     def data_location(self, block: int) -> Placement:
         """Primary placement of a logical data block.
 
-        Layouts are immutable and their placement geometry is periodic:
-        the disk pattern repeats every rotation of ``period`` logical
-        blocks while per-disk offsets advance by a fixed stride.  A
-        subclass that implements :meth:`_placement_rotation` and
-        :meth:`_data_location_uncached` therefore gets exact (not
-        approximate) table-cached lookups from this base method; other
-        subclasses override :meth:`data_location` directly.
+        Default: RAID-0 striping over all disks, block ``i`` → disk
+        ``i mod D``, row ``i // D``.  Layouts with another data pattern
+        override it with their own closed form.
         """
         self.check_block(block)
-        table = self._data_table
-        if table is None:
-            table = self._build_data_table()
-        period, advance, entries = table
-        rot, idx = divmod(block, period)
-        disk, base = entries[idx]
-        return Placement(disk, base + rot * advance)
-
-    def _placement_rotation(self) -> "Tuple[int, int]":
-        """``(blocks per rotation, offset advance per rotation in bytes)``.
-
-        Implemented by subclasses that enable the table-cached
-        :meth:`data_location`.
-        """
-        raise NotImplementedError
-
-    def _data_location_uncached(self, block: int) -> Placement:
-        """Pure placement formula: no caching, no bounds check.
-
-        Must be total over ``[0, period)`` even when the array is
-        smaller than one rotation.  Kept alongside the table path so
-        property tests can check table/formula agreement.
-        """
-        raise NotImplementedError
-
-    def _build_data_table(self) -> "Tuple[int, int, tuple]":
-        period, advance = self._placement_rotation()
-        entries = tuple(
-            (p.disk, p.offset)
-            for p in map(self._data_location_uncached, range(period))
-        )
-        self._data_table = (period, advance, entries)
-        return self._data_table
+        row, disk = divmod(block, self.n_disks)
+        return Placement(disk, row * self.block_size)
 
     def redundancy_locations(self, block: int) -> List[Placement]:
         """Mirror-image placements of ``block`` (empty for RAID-0/RAID-5;

@@ -458,18 +458,12 @@ class RaidxPlanner(Planner):
         same disk".
         """
         lay = self.layout
-        bs = lay.block_size
         frags: List[Tuple[int, int, int, int]] = []
         for p in pieces:
             mg = lay.mirror_group_of(p.block)  # type: ignore[attr-defined]
-            pos = mg.blocks.index(p.block)
+            image = lay.redundancy_locations(p.block)[0]
             frags.append(
-                (
-                    mg.group_id,
-                    mg.image_disk,
-                    mg.image_offset + pos * bs + p.intra,
-                    p.nbytes,
-                )
+                (mg.group_id, image.disk, image.offset + p.intra, p.nbytes)
             )
         frags.sort(key=lambda f: (f[1], f[2]))
         runs: List[Tuple[int, int, int, int]] = []

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from typing import Iterable, List
 
-from repro.raid.layout import Layout, Placement
+from repro.raid.layout import Layout
 
 
 class Raid0Layout(Layout):
@@ -25,12 +25,6 @@ class Raid0Layout(Layout):
     @property
     def data_blocks(self) -> int:
         return self.rows * self.n_disks
-
-    def data_location(self, block: int) -> Placement:
-        self.check_block(block)
-        disk = block % self.n_disks
-        row = block // self.n_disks
-        return Placement(disk, row * self.block_size)
 
     def stripe_of(self, block: int) -> int:
         self.check_block(block)

@@ -41,25 +41,14 @@ class Raid10Layout(Layout):
     def data_blocks(self) -> int:
         return self.rows * self.n_pairs
 
-    # data_location is table-cached by the Layout base class.
-    def _placement_rotation(self) -> tuple[int, int]:
-        return self.n_pairs, self.block_size
-
-    def _data_location_uncached(self, block: int) -> Placement:
-        pair = block % self.n_pairs
-        row = block // self.n_pairs
+    def data_location(self, block: int) -> Placement:
+        self.check_block(block)
+        row, pair = divmod(block, self.n_pairs)
         return Placement(2 * pair, row * self.block_size)
 
     def redundancy_locations(self, block: int) -> List[Placement]:
         self.check_block(block)
-        pair = block % self.n_pairs
-        row = block // self.n_pairs
-        return [Placement(2 * pair + 1, row * self.block_size)]
-
-    def _redundancy_locations_uncached(self, block: int) -> List[Placement]:
-        """Alias for the (already formula-direct) mirror placement."""
-        pair = block % self.n_pairs
-        row = block // self.n_pairs
+        row, pair = divmod(block, self.n_pairs)
         return [Placement(2 * pair + 1, row * self.block_size)]
 
     def read_sources(self, block: int) -> List[Placement]:

@@ -36,20 +36,11 @@ class Raid5Layout(Layout):
         """Placement of the stripe's parity block."""
         return Placement(self.parity_disk(stripe), stripe * self.block_size)
 
-    # data_location is table-cached by the Layout base class: the
-    # left-symmetric disk pattern repeats every D stripes = D(D-1)
-    # blocks, with offsets advancing D rows per rotation.
-    def _placement_rotation(self) -> tuple[int, int]:
-        D = self.n_disks
-        return D * (D - 1), D * self.block_size
-
-    def _data_location_uncached(self, block: int) -> Placement:
-        width = self.n_disks - 1
-        stripe = block // width
-        j = block % width
-        pdisk = self.parity_disk(stripe)
+    def data_location(self, block: int) -> Placement:
+        self.check_block(block)
+        stripe, j = divmod(block, self.n_disks - 1)
         # Left-symmetric: data fills disks starting after the parity disk.
-        disk = (pdisk + 1 + j) % self.n_disks
+        disk = (self.parity_disk(stripe) + 1 + j) % self.n_disks
         return Placement(disk, stripe * self.block_size)
 
     def stripe_of(self, block: int) -> int:

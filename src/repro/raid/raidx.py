@@ -43,17 +43,22 @@ from repro.raid.layout import Layout, Placement
 @dataclass(frozen=True)
 class MirrorGroup:
     """One clustered image extent: ``n-1`` consecutive blocks of a disk
-    group, stored as a single long block on ``image_disk``."""
+    group, stored as a single long block on ``image_disk``.  Members are
+    listed on demand by :meth:`RaidxLayout.mirror_group_members`."""
 
     group_id: int  # global id: (disk_group, local_group) flattened
     disk_group: int
     image_disk: int
     image_offset: int  # byte offset of the extent start
-    blocks: tuple  # logical data blocks, in image order
 
 
 class RaidxLayout(Layout):
-    """Orthogonal striping and mirroring over an n × k disk array."""
+    """Orthogonal striping and mirroring over an n × k disk array.
+
+    Every placement is closed-form index arithmetic: data block ``i`` is
+    the RAID-0 stripe of the base class, and its image follows from the
+    block's (disk group, mirror group, position) coordinates.
+    """
 
     name = "raidx"
 
@@ -72,18 +77,12 @@ class RaidxLayout(Layout):
                 "RAID-x needs stripe width >= 3 (n-1 >= 2 blocks per "
                 "mirror group)"
             )
-        # Mirror placement repeats every D(n-1) blocks: the disk/row
-        # pattern is identical while image rows advance by n-1 and group
-        # ids by n per rotation.  Only complete rotations are table-
-        # cacheable — the final (partial) rotation can hold truncated
-        # mirror groups and falls back to the formulas.
         self._data_rows = self._fit_data_rows()
-        self._mirror_period = self.n_disks * (self.n - 1)
-        self._mirror_safe_limit = (
-            self.data_blocks // self._mirror_period
-        ) * self._mirror_period
-        self._mirror_table: tuple | None = None
-        self._image_table: tuple | None = None
+        self._mirror_base = self._data_rows * block_size
+        # Local blocks per disk group, and mirror groups per disk group
+        # (the last one truncated when n-1 does not divide the former).
+        self._local_blocks = self._data_rows * self.n
+        self._groups_per_disk_group = -(-self._local_blocks // (self.n - 1))
 
     # -- capacity ----------------------------------------------------------
     def _mirror_rows_needed(self, data_rows: int) -> int:
@@ -93,18 +92,17 @@ class RaidxLayout(Layout):
         The image row of local index ℓ is ``(ℓ//(n-1)//n)·(n-1) +
         ℓ mod (n-1)``; the ``p`` term skews up to ``n-2`` rows past the
         rotation base, so the region needs slightly *more* than
-        ``data_rows`` rows.  Rows advance uniformly per placement
-        rotation, so scanning the final two rotations finds the max.
+        ``data_rows`` rows.  With ``G, P`` the group and position of the
+        last local index and ``R = G // n`` its rotation: if an earlier
+        group shares rotation ``R`` it is complete and reaches position
+        ``n-2``, else group ``G`` alone sets the maximum.
         """
         n = self.n
-        top = data_rows * n
-        lo = max(0, top - 2 * self.n_disks * (n - 1))
-        need = 0
-        for ell in range(lo, top):
-            row = (ell // (n - 1) // n) * (n - 1) + ell % (n - 1) + 1
-            if row > need:
-                need = row
-        return need
+        G, P = divmod(data_rows * n - 1, n - 1)
+        R = G // n
+        if G > R * n:
+            return (R + 1) * (n - 1)
+        return R * (n - 1) + P + 1
 
     def _fit_data_rows(self) -> int:
         """Largest data region whose images still fit below the disk end.
@@ -130,26 +128,13 @@ class RaidxLayout(Layout):
     @property
     def mirror_base(self) -> int:
         """Byte offset where the clustered-image region starts."""
-        return self.data_rows * self.block_size
-
-    # -- data placement ----------------------------------------------------
-    # data_location is table-cached by the Layout base class.
-    def _placement_rotation(self) -> tuple[int, int]:
-        return self.n_disks, self.block_size
-
-    def _data_location_uncached(self, block: int) -> Placement:
-        disk = block % self.n_disks
-        row = block // self.n_disks
-        return Placement(disk, row * self.block_size)
+        return self._mirror_base
 
     # -- mirror placement ----------------------------------------------------
     def _group_local_index(self, block: int) -> tuple:
         """(disk_group c, local index ℓ) of a data block within its group."""
-        D = self.n_disks
-        disk = block % D
-        c = disk // self.n
-        q = block // D
-        r = disk - c * self.n
+        q, disk = divmod(block, self.n_disks)
+        c, r = divmod(disk, self.n)
         return c, q * self.n + r
 
     def _local_block(self, c: int, ell: int) -> int:
@@ -157,107 +142,52 @@ class RaidxLayout(Layout):
         q, r = divmod(ell, self.n)
         return q * self.n_disks + c * self.n + r
 
-    def mirror_group_of(self, block: int) -> MirrorGroup:
-        """The mirror group (clustered image extent) containing ``block``.
+    def _mirror_coords(self, block: int) -> tuple:
+        """(disk group c, mirror group g within c, position p within g)."""
+        c, ell = self._group_local_index(block)
+        g, p = divmod(ell, self.n - 1)
+        return c, g, p
 
-        Table-cached: one :class:`MirrorGroup` per block of the first
-        placement rotation, shifted arithmetically for later rotations
-        (image rows advance by ``n-1``, group ids by ``n``, member
-        blocks by the rotation period).  Blocks of the final partial
-        rotation use the formulas directly, since their groups can be
-        truncated.
+    def _image(self, c: int, g: int, p: int) -> Placement:
+        """Slot ``p`` of mirror group ``g``'s clustered extent in disk
+        group ``c``: disk ``c·n + ((g+1)(n-1)) mod n``, image row
+        ``(g//n)(n-1) + p``."""
+        n = self.n
+        row = (g // n) * (n - 1) + p
+        return Placement(
+            c * n + ((g + 1) * (n - 1)) % n,
+            self._mirror_base + row * self.block_size,
+        )
+
+    def mirror_group_of(self, block: int) -> MirrorGroup:
+        """The mirror group (clustered image extent) containing ``block``."""
+        self.check_block(block)
+        c, g, _p = self._mirror_coords(block)
+        start = self._image(c, g, 0)
+        return MirrorGroup(
+            group_id=c * self._groups_per_disk_group + g,
+            disk_group=c,
+            image_disk=start.disk,
+            image_offset=start.offset,
+        )
+
+    def mirror_group_members(self, block: int) -> tuple:
+        """Logical blocks of ``block``'s mirror group, in image order.
+
+        O(n); the I/O paths never list members — they address each
+        image through :meth:`redundancy_locations`.
         """
         self.check_block(block)
-        if block >= self._mirror_safe_limit:
-            return self._mirror_group_uncached(block)
-        table = self._mirror_table
-        if table is None:
-            table = self._build_mirror_table()
-        rot, idx = divmod(block, self._mirror_period)
-        base = table[idx]
-        if rot == 0:
-            return base
-        shift = rot * self._mirror_period
-        return MirrorGroup(
-            group_id=base.group_id + rot * self.n,
-            disk_group=base.disk_group,
-            image_disk=base.image_disk,
-            image_offset=base.image_offset
-            + rot * (self.n - 1) * self.block_size,
-            blocks=tuple(b + shift for b in base.blocks),
-        )
-
-    def _build_mirror_table(self) -> tuple:
-        self._mirror_table = tuple(
-            map(self._mirror_group_uncached, range(self._mirror_period))
-        )
-        return self._mirror_table
-
-    def _mirror_group_uncached(self, block: int) -> MirrorGroup:
-        """Pure OSM mirror-placement formula (no caching)."""
-        n = self.n
         c, ell = self._group_local_index(block)
-        g, _p = divmod(ell, n - 1)
-        image_local = ((g + 1) * (n - 1)) % n
-        image_disk = c * n + image_local
-        image_row = (g // n) * (n - 1)
-        blocks = tuple(
-            self._local_block(c, g * (n - 1) + j)
-            for j in range(n - 1)
-            if g * (n - 1) + j < self._local_blocks_in_group()
-        )
-        return MirrorGroup(
-            group_id=c * self._groups_per_disk_group() + g,
-            disk_group=c,
-            image_disk=image_disk,
-            image_offset=self.mirror_base + image_row * self.block_size,
-            blocks=blocks,
-        )
-
-    def _local_blocks_in_group(self) -> int:
-        return self.data_rows * self.n
-
-    def _groups_per_disk_group(self) -> int:
-        n = self.n
-        return (self._local_blocks_in_group() + n - 2) // (n - 1)
+        lo = ell - ell % (self.n - 1)
+        hi = min(lo + self.n - 1, self._local_blocks)
+        return tuple(self._local_block(c, j) for j in range(lo, hi))
 
     def redundancy_locations(self, block: int) -> List[Placement]:
-        """Image placement of ``block``.
-
-        Unlike :meth:`mirror_group_of`, the placement shift is exact
-        for *every* block — truncation near the end of the address
-        space changes a group's membership, never where an individual
-        image lands — so the table covers the full address space.
-        """
+        """Image placement of ``block``: position ``ℓ mod (n-1)`` of its
+        mirror group's clustered extent."""
         self.check_block(block)
-        table = self._image_table
-        if table is None:
-            table = self._build_image_table()
-        rot, idx = divmod(block, self._mirror_period)
-        disk, base = table[idx]
-        return [Placement(disk, base + rot * (self.n - 1) * self.block_size)]
-
-    def _build_image_table(self) -> tuple:
-        bs = self.block_size
-        n = self.n
-        entries = []
-        for b in range(self._mirror_period):
-            c, ell = self._group_local_index(b)
-            g, p = divmod(ell, n - 1)
-            disk = c * n + ((g + 1) * (n - 1)) % n
-            row = (g // n) * (n - 1)
-            entries.append((disk, self.mirror_base + (row + p) * bs))
-        self._image_table = tuple(entries)
-        return self._image_table
-
-    def _redundancy_locations_uncached(self, block: int) -> List[Placement]:
-        """Pure image-placement formula (no caching)."""
-        mg = self._mirror_group_uncached(block)
-        _c, ell = self._group_local_index(block)
-        p = ell % (self.n - 1)
-        return [
-            Placement(mg.image_disk, mg.image_offset + p * self.block_size)
-        ]
+        return [self._image(*self._mirror_coords(block))]
 
     # -- stripes -------------------------------------------------------------
     def stripe_of(self, block: int) -> int:

@@ -37,7 +37,6 @@ from repro.sim.resources import (
 )
 from repro.sim.shared import BandwidthLink, SharedChannel
 from repro.sim.sync import Barrier, CountdownLatch, Mutex
-from repro.sim.monitor import Monitor, TimeWeightedStat
 from repro.sim.rand import RandomStreams
 
 __all__ = [
@@ -51,7 +50,6 @@ __all__ = [
     "Event",
     "EventAborted",
     "Interrupt",
-    "Monitor",
     "Mutex",
     "PriorityResource",
     "Process",
@@ -60,6 +58,5 @@ __all__ = [
     "SharedChannel",
     "SimulationError",
     "Store",
-    "TimeWeightedStat",
     "Timeout",
 ]

@@ -53,11 +53,12 @@ def test_raidx_mirror_groups_partition_blocks(lay):
     seen = {}
     for b in range(min(lay.data_blocks, 300)):
         mg = lay.mirror_group_of(b)
-        assert b in mg.blocks
+        members = lay.mirror_group_members(b)
+        assert b in members
         prior = seen.get(mg.group_id)
         if prior is not None:
-            assert prior == mg.blocks
-        seen[mg.group_id] = mg.blocks
+            assert prior == members
+        seen[mg.group_id] = members
 
 
 @given(lay=raidx_geometry())

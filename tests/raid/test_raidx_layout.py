@@ -37,17 +37,19 @@ def test_fig1a_mirror_groups_match_paper():
     for g, disk in expect.items():
         mg = lay.mirror_group_of(g * 3)
         assert mg.image_disk == disk
-        assert mg.blocks == tuple(range(g * 3, g * 3 + 3))
+        members = lay.mirror_group_members(g * 3)
+        assert members == tuple(range(g * 3, g * 3 + 3))
 
 
 def test_images_clustered_contiguously():
     lay = fig1a()
     mg = lay.mirror_group_of(0)
+    members = lay.mirror_group_members(0)
     offsets = [
-        lay.redundancy_locations(b)[0].offset for b in mg.blocks
+        lay.redundancy_locations(b)[0].offset for b in members
     ]
     assert offsets == list(
-        range(mg.image_offset, mg.image_offset + len(mg.blocks))
+        range(mg.image_offset, mg.image_offset + len(members))
     )
     # All in the mirror half of the disk.
     assert all(o >= lay.mirror_base for o in offsets)
@@ -130,6 +132,6 @@ def test_partial_final_mirror_group():
     )
     # 8 data blocks per group slice; trailing group may be short.
     last_block = lay.data_blocks - 1
-    mg = lay.mirror_group_of(last_block)
-    assert last_block in mg.blocks
-    assert 1 <= len(mg.blocks) <= lay.n - 1
+    members = lay.mirror_group_members(last_block)
+    assert last_block in members
+    assert 1 <= len(members) <= lay.n - 1
